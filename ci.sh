@@ -122,6 +122,20 @@ if [[ "$FAST" == "0" ]]; then
   cargo run --offline --release -q -p limeqo-bench --bin scenario -- fuzz --seed 1 --count 8
 fi
 
+# The benchmark declared in BENCHMARK.json (perfbench/, a workspace of its
+# own): its unit tests, then one short untraced offline-full-10k run. The
+# binary exits non-zero unless every check passed: the golden final
+# latency of large-matrix-10k at the corpus seed, bit-identical traces
+# across the run's explorations, and per-round latencies that never rise.
+# That gates the shipped ALS kernels end to end at the 10k shape.
+if [[ "$FAST" == "0" ]]; then
+  echo "==> perfbench unit tests"
+  cargo test --offline -q --manifest-path perfbench/Cargo.toml
+  echo "==> perfbench smoke (offline-full-10k --trace 0)"
+  cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload offline-full-10k --seconds 6 --trace 0 | tail -n 1
+fi
+
 # Service-layer crash smoke: boot the daemon, kill it mid-round (abort
 # after 12 journaled events — no flush, no destructors), recover into a
 # continuation script, and require the recovered trace reply to be

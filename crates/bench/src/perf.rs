@@ -149,9 +149,12 @@ pub fn run(opts: &PerfOpts) -> Json {
     let wm = store.matrix();
 
     // ALS: the identical fit — naive serial, naive parallel, and the
-    // cache-blocked kernels single-threaded (bit-identical output by
-    // contract, so the whole delta against `als.serial_s` is memory
-    // locality — a core-count-independent floor `perf --full` gates on).
+    // fused half-steps single-threaded (bit-identical output by
+    // contract). The delta against `als.serial_s` is the fused kernels'
+    // saved work: no materialized `QHᵀ` or clone+fill per half-step, no
+    // per-right-hand-side allocation in the solves, and row panels that
+    // stay in L1. Serial against serial, it is a core-count-independent
+    // floor `perf --full` gates on.
     // Fresh completers per measurement so the RNG call counter cannot
     // skew a comparison. The three configurations are sampled
     // *interleaved*, one of each per round with per-configuration minima,

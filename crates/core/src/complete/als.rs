@@ -28,48 +28,68 @@
 //!
 //! Every expensive step of an ALS iteration is independent per factor row:
 //! the `Q` update solves one r-dimensional ridge system per *query*, the
-//! `H` update one per *hint*, and the low-rank product `QHᵀ` is one dot
-//! product per cell. [`AlsCompleter::threads`] fans those solves out over
-//! crossbeam scoped workers via the batched solvers
-//! `limeqo_linalg::ridge_solve_rows` / `ridge_solve_cols`, each worker
-//! writing only its own pre-allocated factor rows. The result is
-//! **byte-identical to the serial path at any thread count** — the
-//! partition moves chunk boundaries, never the per-element arithmetic —
-//! which is what lets the golden scenario suite stay pinned while the hot
-//! path scales across cores (contract in PERF.md; pinned by
-//! `tests/tests/determinism.rs` at 1/2/8 threads).
+//! `H` update one per *hint*. Each update is one **fused half-step** from
+//! `limeqo_linalg::block`, and neither materializes `Ŵ`:
 //!
-//! Matrix assembly no longer materializes the dense `W̃`/`M`/`T` triple
-//! either: the observed and censored cells are gathered once per call from
+//! * The **row builder** (`block::LowRankRows`) writes a row of `QHᵀ`, or
+//!   a column window of it, from `q_i` and a transposed copy of `H`. Then
+//!   `GatheredCells::fill_row` overwrites that window's observed
+//!   cells and applies the censored clamp.
+//! * The `Q` half-step (`block::ridge_solve_rows_tiled`) builds `tile`-row
+//!   panels of `Ŵ` per shard block and per worker chunk. It accumulates
+//!   `ŴH` across each panel and solves the panel in place against the
+//!   factored `HᵀH + λI`.
+//! * The `H` half-step (`block::ridge_solve_cols_tiled`) gives each
+//!   worker a window of hint columns. The worker streams the query rows
+//!   in order and accumulates `ŴᵀQ` for its window in a resident panel.
+//!
+//! The final completion is the same row builder, materialized once.
+//! [`AlsCompleter::complete_dirty_with_factors`] runs the same `Q`
+//! half-step over just the dirty rows.
+//!
+//! [`AlsCompleter::threads`] fans the rows or columns out over crossbeam
+//! scoped workers, each writing only its own pre-allocated factor rows.
+//! The result is **byte-identical to the serial path at any thread
+//! count** and to the materializing [`AlsKernel::Naive`] reference: the
+//! partition moves chunk boundaries, never the per-element arithmetic.
+//! That is what lets the golden scenario suite stay pinned while the hot
+//! path scales across cores (contract in PERF.md; pinned by
+//! `tests/tests/determinism.rs` at 1/2/8 threads and by
+//! `tests/tests/kernels.rs`).
+//!
+//! Matrix assembly does not materialize the dense `W̃`/`M`/`T` triple
+//! either. The observed and censored cells are gathered once per call from
 //! the matrix's compact observed-cell index
-//! ([`WorkloadMatrix::observed_cols`]), so assembly is O(observed), and the
-//! per-iteration fill starts from `QHᵀ` and overwrites just the observed
-//! slots — numerically identical to the old dense
-//! `M ⊙ W̃ + (1−M) ⊙ QHᵀ` + censored-clamp sequence.
+//! ([`WorkloadMatrix::observed_cols`]), in row-major order with per-row
+//! offsets, so assembly is O(observed). The fill touches just the observed
+//! slots of each row it is given. That is numerically identical to the
+//! old dense `M ⊙ W̃ + (1−M) ⊙ QHᵀ` + censored-clamp sequence.
 
 use super::Completer;
 use crate::matrix::{Cell, WorkloadMatrix};
+use limeqo_linalg::block::{self, LowRankRows};
 use limeqo_linalg::rng::SeededRng;
-use limeqo_linalg::{block, par, ridge_solve_cols, ridge_solve_rows_blocked, Mat};
+use limeqo_linalg::{par, ridge_solve_cols, ridge_solve_rows_blocked, Mat};
 
-/// Which kernel implementation backs the three ALS hot loops (`QHᵀ`, the
-/// `Q` ridge batch, the `H` ridge batch).
+/// Which kernel implementation runs the ALS half-steps.
 ///
-/// Every variant is **byte-identical** — the blocked kernels preserve the
+/// Every variant is **byte-identical** — the fused kernels preserve the
 /// naive kernels' per-element floating-point operation sequence exactly
 /// (see `limeqo_linalg::block` and the `tests/tests/kernels.rs`
 /// differential suite) — so this is a pure performance knob: switching it
 /// can never move a golden.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlsKernel {
-    /// The original unblocked batched kernels (`limeqo_linalg::par` /
-    /// `ridge_solve_rows_blocked` / `ridge_solve_cols`).
+    /// The reference: materialize `Ŵ` from `par::matmul_t` plus the fill,
+    /// then run the unblocked batched solvers (`ridge_solve_rows_blocked`
+    /// / `ridge_solve_cols`) on it.
     Naive,
-    /// Cache-blocked kernels from `limeqo_linalg::block`, computing each
-    /// panel in `tile`-wide slices. `tile = 0` picks the auto size (the
-    /// largest slice whose operand panel fits the L1 budget).
+    /// The fused half-steps from `limeqo_linalg::block`: `Ŵ` is built row
+    /// by row inside the solves and never stored. `tile` sets the panel
+    /// width; `0` picks the auto size (the largest panel that fits the L1
+    /// budget).
     Blocked {
-        /// Right-hand sides per slice; `0` = auto.
+        /// Right-hand sides per panel; `0` = auto.
         tile: usize,
     },
 }
@@ -79,46 +99,6 @@ impl Default for AlsKernel {
     /// the kernels are bit-identical.
     fn default() -> Self {
         AlsKernel::Blocked { tile: 0 }
-    }
-}
-
-impl AlsKernel {
-    fn matmul_t(&self, a: &Mat, b: &Mat, threads: usize) -> limeqo_linalg::Result<Mat> {
-        match *self {
-            AlsKernel::Naive => par::matmul_t(a, b, threads),
-            AlsKernel::Blocked { tile } => block::matmul_t_tiled(a, b, threads, tile),
-        }
-    }
-
-    fn solve_rows(
-        &self,
-        g: &Mat,
-        b_rows: &Mat,
-        lambda: f64,
-        threads: usize,
-        blocks: &[(usize, usize)],
-    ) -> limeqo_linalg::Result<Mat> {
-        match *self {
-            AlsKernel::Naive => ridge_solve_rows_blocked(g, b_rows, lambda, threads, blocks),
-            AlsKernel::Blocked { tile } => {
-                block::ridge_solve_rows_tiled(g, b_rows, lambda, threads, blocks, tile)
-            }
-        }
-    }
-
-    fn solve_cols(
-        &self,
-        g: &Mat,
-        b: &Mat,
-        lambda: f64,
-        threads: usize,
-    ) -> limeqo_linalg::Result<Mat> {
-        match *self {
-            AlsKernel::Naive => ridge_solve_cols(g, b, lambda, threads),
-            AlsKernel::Blocked { tile } => {
-                block::ridge_solve_cols_tiled(g, b, lambda, threads, tile)
-            }
-        }
     }
 }
 
@@ -170,46 +150,82 @@ pub struct AlsCompleter {
 }
 
 /// The observed cells of a workload matrix, gathered once per `complete()`
-/// call from the compact index: completed `(row, col, value)` triples and
-/// censored `(row, col, bound)` triples, both in row-major order.
+/// call from the compact index: completed `(col, value)` and censored
+/// `(col, bound)` pairs in row-major order, with per-row offsets so one
+/// row's cells are a slice.
 struct GatheredCells {
-    completes: Vec<(u32, u32, f64)>,
-    censored: Vec<(u32, u32, f64)>,
+    completes: Vec<(u32, f64)>,
+    censored: Vec<(u32, f64)>,
+    /// Row i's cells are `completes[complete_at[i]..complete_at[i + 1]]`.
+    complete_at: Vec<usize>,
+    /// Row i's cells are `censored[censored_at[i]..censored_at[i + 1]]`.
+    censored_at: Vec<usize>,
 }
 
 impl GatheredCells {
     fn gather(wm: &WorkloadMatrix, want_censored: bool) -> Self {
         let mut completes = Vec::new();
         let mut censored = Vec::new();
+        let mut complete_at = Vec::with_capacity(wm.n_rows() + 1);
+        let mut censored_at = Vec::with_capacity(wm.n_rows() + 1);
         for row in 0..wm.n_rows() {
+            complete_at.push(completes.len());
+            censored_at.push(censored.len());
             for &col in wm.observed_cols(row) {
                 match wm.cell(row, col as usize) {
-                    Cell::Complete(v) => completes.push((row as u32, col, v)),
-                    Cell::Censored(b) if want_censored => censored.push((row as u32, col, b)),
+                    Cell::Complete(v) => completes.push((col, v)),
+                    Cell::Censored(b) if want_censored => censored.push((col, b)),
                     Cell::Censored(_) | Cell::Unobserved => {}
                 }
             }
         }
-        GatheredCells { completes, censored }
+        complete_at.push(completes.len());
+        censored_at.push(censored.len());
+        GatheredCells { completes, censored, complete_at, censored_at }
     }
 
-    /// `Ŵ ← M ⊙ W̃ + (1−M) ⊙ QHᵀ` with the censored clamp
-    /// `Ŵᵢⱼ ← max(Ŵᵢⱼ, Tᵢⱼ)` (Algorithm 2 lines 3–5), starting from the
-    /// low-rank product and touching only observed slots. Numerically
-    /// identical to the dense `fill_estimate` it replaces.
-    fn fill(&self, mut qh: Mat) -> Mat {
-        let k = qh.cols();
-        let s = qh.as_mut_slice();
-        for &(r, c, v) in &self.completes {
-            s[r as usize * k + c as usize] = v;
-        }
-        for &(r, c, bound) in &self.censored {
-            let i = r as usize * k + c as usize;
-            if bound > 0.0 && s[i] < bound {
-                s[i] = bound;
+    /// `Ŵᵢⱼ ← W̃ᵢⱼ` on observed cells and the censored clamp
+    /// `Ŵᵢⱼ ← max(Ŵᵢⱼ, Tᵢⱼ)` (Algorithm 2 lines 3–5), applied to the
+    /// window `out` = columns `col_lo..col_lo + out.len()` of row `row`,
+    /// which holds that window of `QHᵀ`. Touches only observed slots.
+    fn fill_row(&self, row: usize, col_lo: usize, out: &mut [f64]) {
+        let cols = col_lo..col_lo + out.len();
+        for &(c, v) in &self.completes[self.complete_at[row]..self.complete_at[row + 1]] {
+            if cols.contains(&(c as usize)) {
+                out[c as usize - col_lo] = v;
             }
         }
-        qh
+        for &(c, bound) in &self.censored[self.censored_at[row]..self.censored_at[row + 1]] {
+            if cols.contains(&(c as usize)) {
+                let slot = &mut out[c as usize - col_lo];
+                if bound > 0.0 && *slot < bound {
+                    *slot = bound;
+                }
+            }
+        }
+    }
+
+    /// `Ŵ ← M ⊙ W̃ + (1−M) ⊙ QHᵀ` with the censored clamp, materialized
+    /// the reference way: `par::matmul_t`, then
+    /// [`GatheredCells::fill_row`] on every row. Numerically identical to
+    /// the dense `fill_estimate` it replaces.
+    fn materialize(&self, q: &Mat, h: &Mat, threads: usize) -> Mat {
+        let mut w_hat = par::matmul_t(q, h, threads).expect("QHᵀ shape");
+        for row in 0..w_hat.rows() {
+            self.fill_row(row, 0, w_hat.row_mut(row));
+        }
+        w_hat
+    }
+
+    /// `Ŵ = fill(QHᵀ)` as a row builder: the fused kernels' view of the
+    /// filled matrix, built on demand and never stored.
+    fn low_rank<'a>(
+        &'a self,
+        q: &'a Mat,
+        h: &Mat,
+    ) -> LowRankRows<'a, impl Fn(usize, usize, &mut [f64]) + Sync + 'a> {
+        LowRankRows::new(q, h, move |row, col_lo, out: &mut [f64]| self.fill_row(row, col_lo, out))
+            .expect("Q and H share the rank")
     }
 
     /// Mean of the completed values — the scale the random factor init is
@@ -217,7 +233,7 @@ impl GatheredCells {
     /// dense `values().sum() / mask().sum()` bit for bit (the skipped
     /// zeros never changed a partial sum).
     fn mean_complete(&self) -> f64 {
-        let sum: f64 = self.completes.iter().map(|&(_, _, v)| v).sum();
+        let sum: f64 = self.completes.iter().map(|&(_, v)| v).sum();
         let count = self.completes.len().max(1);
         (sum / count as f64).max(1e-9)
     }
@@ -325,31 +341,11 @@ impl AlsCompleter {
             _ => (q_init, h_init),
         };
 
-        let threads = self.threads;
         for _ in 0..self.iters {
-            // Ŵ ← M⊙W̃ + (1−M)⊙QHᵀ  (+ censored clamp)
-            let qh = self.kernel.matmul_t(&q, &h, threads).expect("QHᵀ shape");
-            let w_hat = cells.fill(qh);
-            // Q ← Ŵ H (HᵀH + λI)⁻¹: one independent r-dimensional ridge
-            // system per query row, batched per shard, fanned out across
-            // the workers.
-            q = self
-                .kernel
-                .solve_rows(&h, &w_hat, self.lambda, threads, &shard_blocks)
-                .expect("Q update");
-            if self.nonneg {
-                q.clamp_min(0.0);
-            }
-            let qh = self.kernel.matmul_t(&q, &h, threads).expect("QHᵀ shape");
-            let w_hat = cells.fill(qh);
-            // H ← Ŵᵀ Q (QᵀQ + λI)⁻¹: one system per hint column.
-            h = self.kernel.solve_cols(&q, &w_hat, self.lambda, threads).expect("H update");
-            if self.nonneg {
-                h.clamp_min(0.0);
-            }
+            q = self.update_q(&q, &h, &cells, &shard_blocks);
+            h = self.update_h(&q, &h, &cells);
         }
-        let qh = self.kernel.matmul_t(&q, &h, threads).expect("QHᵀ shape");
-        let completed = cells.fill(qh);
+        let completed = self.completion(&q, &h, &cells);
         if self.warm_start {
             self.warm = Some((q.clone(), h.clone()));
         }
@@ -412,40 +408,22 @@ impl AlsCompleter {
         self.calls += 1;
         let (mut q, h) = self.warm.take().expect("warm_ok checked above");
         if !dirty.is_empty() {
-            // Dirty right-hand sides: each dirty row of Ŵ, i.e. that row of
-            // QHᵀ with its observed cells overwritten (and the censored
-            // clamp applied) — the same fill the full path computes, built
-            // for just the d dirty rows.
-            let mut w_d = Mat::zeros(dirty.len(), k);
-            for (i, &row) in dirty.iter().enumerate() {
-                let q_row = q.row(row);
-                let out = w_d.row_mut(i);
-                for (j, o) in out.iter_mut().enumerate() {
-                    let h_row = h.row(j);
-                    let mut acc = 0.0;
-                    for (&x, &y) in q_row.iter().zip(h_row.iter()) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
-                for &col in wm.observed_cols(row) {
-                    match wm.cell(row, col as usize) {
-                        Cell::Complete(v) => out[col as usize] = v,
-                        Cell::Censored(b) if self.censored => {
-                            if b > 0.0 && out[col as usize] < b {
-                                out[col as usize] = b;
-                            }
-                        }
-                        Cell::Censored(_) | Cell::Unobserved => {}
-                    }
-                }
-            }
-            // Q_d ← Ŵ_d H (HᵀH + λI)⁻¹: the closed-form Q update restricted
-            // to the dirty rows, against the retained H.
-            let mut q_d = self
-                .kernel
-                .solve_rows(&h, &w_d, self.lambda, self.threads, &[(0, dirty.len())])
-                .expect("incremental Q update");
+            // Q_d ← Ŵ_d H (HᵀH + λI)⁻¹: the fused Q half-step over just the
+            // dirty rows of Ŵ, against the retained H. Bit-identical under
+            // either kernel, so it always runs fused.
+            let tile = match self.kernel {
+                AlsKernel::Blocked { tile } => tile,
+                AlsKernel::Naive => 0,
+            };
+            let mut q_d = block::ridge_solve_rows_tiled(
+                &h,
+                &cells.low_rank(&q, &h).select(dirty),
+                self.lambda,
+                self.threads,
+                &[(0, dirty.len())],
+                tile,
+            )
+            .expect("incremental Q update");
             if self.nonneg {
                 q_d.clamp_min(0.0);
             }
@@ -453,10 +431,62 @@ impl AlsCompleter {
                 q.row_mut(row).copy_from_slice(q_d.row(i));
             }
         }
-        let qh = self.kernel.matmul_t(&q, &h, self.threads).expect("QHᵀ shape");
-        let completed = cells.fill(qh);
+        let completed = self.completion(&q, &h, &cells);
         self.warm = Some((q.clone(), h.clone()));
         (completed, q, h)
+    }
+
+    /// Algorithm 2's `Q` half-step, `Q ← Ŵ H (HᵀH + λI)⁻¹` on
+    /// `Ŵ = fill(QHᵀ)`: one independent r-dimensional ridge system per
+    /// query row, batched per shard block and fanned out across the
+    /// workers, then the non-negativity projection.
+    fn update_q(&self, q: &Mat, h: &Mat, cells: &GatheredCells, blocks: &[(usize, usize)]) -> Mat {
+        let (lambda, threads) = (self.lambda, self.threads);
+        let mut q_new = match self.kernel {
+            AlsKernel::Naive => {
+                let w_hat = cells.materialize(q, h, threads);
+                ridge_solve_rows_blocked(h, &w_hat, lambda, threads, blocks)
+            }
+            AlsKernel::Blocked { tile } => {
+                let w_hat = cells.low_rank(q, h);
+                block::ridge_solve_rows_tiled(h, &w_hat, lambda, threads, blocks, tile)
+            }
+        }
+        .expect("Q update");
+        if self.nonneg {
+            q_new.clamp_min(0.0);
+        }
+        q_new
+    }
+
+    /// Algorithm 2's `H` half-step, `H ← Ŵᵀ Q (QᵀQ + λI)⁻¹` on
+    /// `Ŵ = fill(QHᵀ)` with the freshly updated `Q`: one system per hint
+    /// column, then the non-negativity projection.
+    fn update_h(&self, q: &Mat, h: &Mat, cells: &GatheredCells) -> Mat {
+        let (lambda, threads) = (self.lambda, self.threads);
+        let mut h_new = match self.kernel {
+            AlsKernel::Naive => {
+                let w_hat = cells.materialize(q, h, threads);
+                ridge_solve_cols(q, &w_hat, lambda, threads)
+            }
+            AlsKernel::Blocked { tile } => {
+                let w_hat = cells.low_rank(q, h);
+                block::ridge_solve_cols_tiled(q, &w_hat, lambda, threads, tile)
+            }
+        }
+        .expect("H update");
+        if self.nonneg {
+            h_new.clamp_min(0.0);
+        }
+        h_new
+    }
+
+    /// The completed matrix `fill(QHᵀ)`, materialized once per call.
+    fn completion(&self, q: &Mat, h: &Mat, cells: &GatheredCells) -> Mat {
+        match self.kernel {
+            AlsKernel::Naive => cells.materialize(q, h, self.threads),
+            AlsKernel::Blocked { tile } => cells.low_rank(q, h).to_mat(self.threads, tile),
+        }
     }
 }
 

@@ -1,25 +1,38 @@
-//! Cache-blocked (tiled) variants of the batched kernels behind ALS.
+//! Fused, cache-blocked kernels behind ALS: the two ridge half-steps and
+//! the row builder they share.
 //!
-//! The unblocked batched solvers
-//! ([`ridge_solve_rows_blocked`](crate::ridge_solve_rows_blocked),
-//! [`ridge_solve_cols`](crate::ridge_solve_cols)) materialize their whole
-//! right-hand-side panel per worker chunk — a `row_block().transpose()` or
-//! `col_block()` copy the size of the full workload matrix — and then
-//! stream an output panel that outgrows L1 through every step of the inner
-//! accumulation. At the 10k×49 acceptance shape that traffic, not the
-//! arithmetic, is the serial ALS wall. The tiled kernels here cut the panel
-//! into L1-sized slices of `tile` right-hand sides, gather nothing (they
-//! read the operands' contiguous rows in place), and keep the per-tile
-//! accumulator resident across the whole reduction.
+//! Each ALS iteration solves `Q ← Ŵ H (HᵀH + λI)⁻¹` and
+//! `H ← Ŵᵀ Q (QᵀQ + λI)⁻¹` against the *filled* matrix
+//! `Ŵ = fill(Q Hᵀ)` — the low-rank product with its observed cells
+//! overwritten. The kernels here never materialize `Ŵ`. They read their
+//! right-hand sides through a [`RowSource`], which writes one row of the
+//! matrix (or a column window of it) into a caller buffer on demand:
+//!
+//! * [`LowRankRows`] is the **row builder**. It keeps a transposed copy of
+//!   `H` (r×k) and writes row i as a zeroed buffer plus `q_i[t]·Hᵀ[t][j]`
+//!   for t ascending, vectorized across j. That is, per element, exactly
+//!   the dot product [`Mat::matmul_t`] computes. A caller-supplied
+//!   `fill(row, col_lo, &mut [f64])` then applies the observed-cell
+//!   overwrite to the same window.
+//! * [`Mat`] is a `RowSource` that copies a row of `B`, so the plain
+//!   batched solves run through the very same kernels.
+//! * [`ridge_solve_rows_tiled`] (the `Q` half-step) works per row block
+//!   and per worker chunk, in panels of `tile` rows stored j-major. It
+//!   accumulates `GᵀB` across the panel and solves it in place with
+//!   `RidgeFactor::solve_panel`.
+//! * [`ridge_solve_cols_tiled`] (the `H` half-step) gives each worker a
+//!   window of columns. It streams the source's rows in ascending order
+//!   and accumulates the window into a resident `p × tile` panel.
 //!
 //! **Determinism contract** (the same one `limeqo_linalg::par` and PERF.md
 //! pin): every output element is computed with *exactly* the floating-point
-//! operation sequence of the unblocked kernel — same additions, same order,
-//! same zero-operand skips — so the result is byte-identical to the naive
-//! path at **any** tile size and any thread count. Tiling, like threading,
-//! only decides which slots are computed together; it never reorders a
-//! reduction. The `tests/tests/kernels.rs` differential suite holds the
-//! blocked kernels to this bit for bit.
+//! operation sequence of the unblocked kernels — same additions, same
+//! order, same exact-zero skips — so the result is byte-identical to the
+//! naive path (materialize `Q Hᵀ`, fill, [`Mat::t_matmul`], column-wise
+//! solve) at **any** tile size and any thread count. Tiling, like
+//! threading, only decides which slots are computed together; it never
+//! reorders a reduction. The `tests/tests/kernels.rs` differential suite
+//! holds the kernels to this bit for bit.
 
 use crate::error::{LinalgError, Result};
 use crate::lstsq::RidgeFactor;
@@ -69,14 +82,122 @@ pub fn resolve_tile(tile: usize, row_len: usize) -> usize {
     }
 }
 
-/// `a * bᵀ`, row-partitioned across `threads` workers with the columns of
-/// each output chunk computed in `tile`-column slices (`0` = auto) so the
-/// active rows of `b` stay cache-resident across the chunk.
+/// A matrix whose rows are written on demand: the right-hand-side operand
+/// of the fused ridge kernels.
+pub trait RowSource: Sync {
+    /// `(rows, cols)` of the matrix this source stands for.
+    fn shape(&self) -> (usize, usize);
+
+    /// Write columns `col_lo..col_lo + out.len()` of row `row` into `out`.
+    fn write_row(&self, row: usize, col_lo: usize, out: &mut [f64]);
+}
+
+impl RowSource for Mat {
+    fn shape(&self) -> (usize, usize) {
+        Mat::shape(self)
+    }
+
+    fn write_row(&self, row: usize, col_lo: usize, out: &mut [f64]) {
+        out.copy_from_slice(&self.row(row)[col_lo..col_lo + out.len()]);
+    }
+}
+
+/// The row builder: the filled low-rank matrix `fill(Q Hᵀ)` (n×k), built
+/// one row — or one column window of a row — at a time, never stored.
+///
+/// Row i is a zeroed buffer plus `q_i[t]·Hᵀ[t][j]` for t ascending,
+/// vectorized across j: per element the exact sequence of
+/// [`Mat::matmul_t`]'s dot product. Then `fill(i, col_lo, window)` runs
+/// on the same window, where the caller overwrites observed cells.
+/// [`LowRankRows::select`] restricts the source to a list of rows (the
+/// dirty-row solve), and `fill` always sees the original row index.
+pub struct LowRankRows<'a, F> {
+    q: &'a Mat,
+    ht: Mat,
+    rows: Option<&'a [usize]>,
+    fill: F,
+}
+
+impl<'a, F> LowRankRows<'a, F>
+where
+    F: Fn(usize, usize, &mut [f64]) + Sync,
+{
+    /// `fill(Q Hᵀ)` for `Q` n×r and `H` k×r.
+    pub fn new(q: &'a Mat, h: &Mat, fill: F) -> Result<Self> {
+        if q.cols() != h.cols() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "low-rank rows",
+                lhs: q.shape(),
+                rhs: h.shape(),
+            });
+        }
+        Ok(LowRankRows { q, ht: h.transpose(), rows: None, fill })
+    }
+
+    /// Restrict the source to `rows` of the full product, in the given
+    /// order: row i of the selection is row `rows[i]` of `fill(Q Hᵀ)`.
+    ///
+    /// # Panics
+    /// On use, if an entry of `rows` is out of range for `Q`.
+    pub fn select(self, rows: &'a [usize]) -> Self {
+        LowRankRows { rows: Some(rows), ..self }
+    }
+
+    /// Materialize the source as a dense matrix, rows fanned out across
+    /// `threads` workers (`0` = auto) and built in `tile`-column windows
+    /// (`0` = auto). Bit-identical to `fill(Q Hᵀ)` computed with
+    /// [`Mat::matmul_t`] at any tile size and thread count.
+    pub fn to_mat(&self, threads: usize, tile: usize) -> Mat {
+        let (rows, width) = RowSource::shape(self);
+        let mut out = Mat::zeros(rows, width);
+        if width == 0 {
+            return out;
+        }
+        let tile = resolve_tile(tile, self.ht.rows());
+        let threads = effective_threads(threads, rows * width * self.ht.rows());
+        par_chunks(out.as_mut_slice(), width, threads, |r0, chunk| {
+            let mut j0 = 0;
+            while j0 < width {
+                let j1 = (j0 + tile).min(width);
+                for (i, out_row) in chunk.chunks_mut(width).enumerate() {
+                    self.write_row(r0 + i, j0, &mut out_row[j0..j1]);
+                }
+                j0 = j1;
+            }
+        });
+        out
+    }
+}
+
+impl<F> RowSource for LowRankRows<'_, F>
+where
+    F: Fn(usize, usize, &mut [f64]) + Sync,
+{
+    fn shape(&self) -> (usize, usize) {
+        (self.rows.map_or(self.q.rows(), <[usize]>::len), self.ht.cols())
+    }
+
+    fn write_row(&self, row: usize, col_lo: usize, out: &mut [f64]) {
+        let row = self.rows.map_or(row, |rows| rows[row]);
+        let col_hi = col_lo + out.len();
+        out.fill(0.0);
+        for (t, &q_it) in self.q.row(row).iter().enumerate() {
+            for (o, &h) in out.iter_mut().zip(&self.ht.row(t)[col_lo..col_hi]) {
+                *o += q_it * h;
+            }
+        }
+        (self.fill)(row, col_lo, out);
+    }
+}
+
+/// `a * bᵀ` through the row builder ([`LowRankRows`] with no fill),
+/// row-partitioned across `threads` workers with each output row built
+/// in `tile`-column windows (`0` = auto).
 ///
 /// Byte-identical to [`Mat::matmul_t`] and [`crate::par::matmul_t`] at any
 /// tile size and thread count: each output element is the same
-/// left-to-right dot product into a fresh accumulator; tiling only decides
-/// the order elements are *visited*, which no element's value depends on.
+/// t-ascending accumulation into a zeroed slot; tiling only decides the
+/// order elements are *visited*, which no element's value depends on.
 ///
 /// ```
 /// use limeqo_linalg::block::matmul_t_tiled;
@@ -99,45 +220,39 @@ pub fn matmul_t_tiled(a: &Mat, b: &Mat, threads: usize, tile: usize) -> Result<M
             rhs: b.shape(),
         });
     }
-    let mut out = Mat::zeros(a.rows(), b.rows());
-    let width = b.rows();
-    if width == 0 {
-        return Ok(out);
-    }
-    let tile = resolve_tile(tile, a.cols());
-    let threads = effective_threads(threads, a.rows() * b.rows() * a.cols());
-    par_chunks(out.as_mut_slice(), width, threads, |r0, chunk| {
-        let mut j0 = 0;
-        while j0 < width {
-            let j1 = (j0 + tile).min(width);
-            for (i, out_row) in chunk.chunks_mut(width).enumerate() {
-                let a_row = a.row(r0 + i);
-                for (j, o) in out_row[j0..j1].iter_mut().enumerate() {
-                    let b_row = b.row(j0 + j);
-                    let mut acc = 0.0;
-                    for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
-            }
-            j0 = j1;
-        }
-    });
-    Ok(out)
+    let rows = LowRankRows::new(a, b, |_: usize, _: usize, _: &mut [f64]| {})?;
+    Ok(rows.to_mat(threads, tile))
 }
 
-/// [`ridge_solve_rows_blocked`] with the right-hand sides of each block
-/// solved in `tile`-row slices (`0` = auto), and the `GᵀB` product of each
-/// slice computed in place — no `row_block().transpose()` gather.
+/// Check that `blocks` partitions `0..q` contiguously.
 ///
-/// `G`'s columns are hoisted once into contiguous buffers (copying `G`
-/// changes no floating-point value), and each right-hand side's `Gᵀbᵢ`
-/// entry is then the identical k-ascending accumulation [`Mat::t_matmul`]
-/// performs, including its skip of exact-zero `G` entries. The factored
-/// normal matrix solves each right-hand-side column independently, so
-/// slice width cannot move a bit either. Byte-identical to
-/// [`ridge_solve_rows_blocked`] (and so to the serial
+/// # Panics
+/// If it does not.
+pub(crate) fn check_blocks(blocks: &[(usize, usize)], q: usize) {
+    let mut expect = 0usize;
+    for &(start, end) in blocks {
+        assert!(
+            start == expect && end >= start,
+            "blocks must partition 0..{q} contiguously: got ({start}, {end}) after {expect}"
+        );
+        expect = end;
+    }
+    assert!(expect == q, "blocks must cover 0..{q}: ended at {expect}");
+}
+
+/// The fused row solve (the ALS `Q` half-step): row i of the result is
+/// `argmin_x ‖G x − bᵢ‖² + λ‖x‖²` for row `bᵢ` of `b_rows`. For `G` m×p
+/// and `b_rows` q×m the result is q×p.
+///
+/// `blocks` partitions the rows as in
+/// [`ridge_solve_rows_blocked`]. Within each block, every worker chunk is
+/// cut into panels of `tile` rows (`0` = auto). A panel's rows are
+/// written by the [`RowSource`] and stored j-major. Then, for each
+/// `(j, p)` with `G[j][p] != 0`, the panel's `GᵀB` row p gets
+/// `G[j][p]·B[·][j]` added across the panel. That is per element the
+/// j-ascending, exact-zero-skipping accumulation of [`Mat::t_matmul`].
+/// The panel is then solved in place by `RidgeFactor::solve_panel`.
+/// Byte-identical to [`ridge_solve_rows_blocked`] (and so to the serial
 /// [`crate::ridge_solve`]) at any tile size, block partition and thread
 /// count.
 ///
@@ -158,42 +273,30 @@ pub fn matmul_t_tiled(a: &Mat, b: &Mat, threads: usize, tile: usize) -> Result<M
 /// ```
 ///
 /// [`ridge_solve_rows_blocked`]: crate::ridge_solve_rows_blocked
-pub fn ridge_solve_rows_tiled(
+pub fn ridge_solve_rows_tiled<B: RowSource + ?Sized>(
     g: &Mat,
-    b_rows: &Mat,
+    b_rows: &B,
     lambda: f64,
     threads: usize,
     blocks: &[(usize, usize)],
     tile: usize,
 ) -> Result<Mat> {
-    if g.rows() != b_rows.cols() {
+    let (q, m) = b_rows.shape();
+    if g.rows() != m {
         return Err(LinalgError::ShapeMismatch {
             op: "ridge_solve_rows",
             lhs: g.shape(),
-            rhs: b_rows.shape(),
+            rhs: (q, m),
         });
     }
-    let q = b_rows.rows();
-    let mut expect = 0usize;
-    for &(start, end) in blocks {
-        assert!(
-            start == expect && end >= start,
-            "blocks must partition 0..{q} contiguously: got ({start}, {end}) after {expect}"
-        );
-        expect = end;
-    }
-    assert!(expect == q, "blocks must cover 0..{q}: ended at {expect}");
+    check_blocks(blocks, q);
     let factor = RidgeFactor::new(g, lambda)?;
     let p = g.cols();
-    let m = g.rows();
     let mut out = Mat::zeros(q, p);
     if p == 0 {
         return Ok(out);
     }
     let tile = resolve_tile(tile, m);
-    // Hoist G's columns into contiguous buffers once, outside the fan-out:
-    // the per-tile GᵀB kernel then streams both operands stride-1.
-    let gcols: Vec<Vec<f64>> = (0..p).map(|j| g.col(j)).collect();
     for &(start, end) in blocks {
         if start == end {
             continue;
@@ -203,29 +306,37 @@ pub fn ridge_solve_rows_tiled(
         let sub = &mut out.as_mut_slice()[start * p..end * p];
         par_chunks(sub, p, t, |r0, chunk| {
             let rows = chunk.len() / p;
+            let cap = tile.min(rows);
+            let mut row = vec![0.0; m];
+            let mut panel = vec![0.0; m * cap];
+            let mut gtb = vec![0.0; p * cap];
             let mut t0 = 0;
             while t0 < rows {
                 let t1 = (t0 + tile).min(rows);
-                let mut gtb = Mat::zeros(p, t1 - t0);
-                for i in t0..t1 {
-                    let b_row = b_rows.row(start + r0 + i);
-                    for (jp, gcol) in gcols.iter().enumerate() {
-                        // t_matmul's accumulation, element-local: k
-                        // ascending, exact zeros of G skipped, into a
-                        // zero-initialized accumulator.
-                        let mut acc = 0.0;
-                        for (&gk, &bk) in gcol.iter().zip(b_row.iter()) {
-                            if gk != 0.0 {
-                                acc += gk * bk;
-                            }
-                        }
-                        gtb[(jp, i - t0)] = acc;
+                let w = t1 - t0;
+                for i in 0..w {
+                    b_rows.write_row(start + r0 + t0 + i, 0, &mut row);
+                    for (j, &v) in row.iter().enumerate() {
+                        panel[j * w + i] = v;
                     }
                 }
-                let x = factor.solve(&gtb).expect("shape pre-validated");
+                let gtb = &mut gtb[..p * w];
+                gtb.fill(0.0);
+                for j in 0..m {
+                    let b_col = &panel[j * w..(j + 1) * w];
+                    for (jp, &g_jp) in g.row(j).iter().enumerate() {
+                        if g_jp == 0.0 {
+                            continue;
+                        }
+                        for (acc, &b) in gtb[jp * w..(jp + 1) * w].iter_mut().zip(b_col) {
+                            *acc += g_jp * b;
+                        }
+                    }
+                }
+                factor.solve_panel(gtb, w);
                 for (i, out_row) in chunk[t0 * p..t1 * p].chunks_mut(p).enumerate() {
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        *o = x[(j, i)];
+                    for (jp, o) in out_row.iter_mut().enumerate() {
+                        *o = gtb[jp * w + i];
                     }
                 }
                 t0 = t1;
@@ -235,16 +346,17 @@ pub fn ridge_solve_rows_tiled(
     Ok(out)
 }
 
-/// [`ridge_solve_cols`](crate::ridge_solve_cols) with each worker's columns
-/// solved in `tile`-column slices (`0` = auto), and the `GᵀB` product of
-/// each slice reading `B`'s rows in place — no `col_block` gather.
+/// The fused column solve (the ALS `H` half-step): row j of the result is
+/// `argmin_x ‖G x − b_j‖² + λ‖x‖²` for *column* `b_j` of `b`. For `G` m×p
+/// and `b` m×c the result is c×p.
 ///
-/// The slice kernel is [`Mat::t_matmul`]'s k-outer loop verbatim (same
-/// k-ascending accumulation into zero-initialized slots, same exact-zero
-/// skip of `G` entries), applied to a column window of each `B` row
-/// instead of a materialized copy. Byte-identical to
-/// [`ridge_solve_cols`](crate::ridge_solve_cols) at any tile size and
-/// thread count.
+/// Each worker owns a contiguous range of columns, taken in windows of
+/// `tile` columns (`0` = auto). For each window it streams the source's
+/// rows in ascending order, has the [`RowSource`] write that window of
+/// each row, and accumulates it into a resident `p × tile` panel with the
+/// exact-zero skip on `G[k][i]`. This is [`Mat::t_matmul`]'s k-outer loop
+/// verbatim. Byte-identical to [`ridge_solve_cols`](crate::ridge_solve_cols)
+/// at any tile size and thread count.
 ///
 /// ```
 /// use limeqo_linalg::block::ridge_solve_cols_tiled;
@@ -260,63 +372,60 @@ pub fn ridge_solve_rows_tiled(
 ///     assert_eq!(tiled.as_slice(), naive.as_slice());
 /// }
 /// ```
-pub fn ridge_solve_cols_tiled(
+pub fn ridge_solve_cols_tiled<B: RowSource + ?Sized>(
     g: &Mat,
-    b: &Mat,
+    b: &B,
     lambda: f64,
     threads: usize,
     tile: usize,
 ) -> Result<Mat> {
-    if g.rows() != b.rows() {
+    let (m, cols) = b.shape();
+    if g.rows() != m {
         return Err(LinalgError::ShapeMismatch {
             op: "ridge_solve_cols",
             lhs: g.shape(),
-            rhs: b.shape(),
+            rhs: (m, cols),
         });
     }
     let factor = RidgeFactor::new(g, lambda)?;
     let p = g.cols();
-    let m = g.rows();
-    let mut out = Mat::zeros(b.cols(), p);
+    let mut out = Mat::zeros(cols, p);
     if p == 0 {
         return Ok(out);
     }
-    // The k-outer reduction streams G and B once per tile, so what must
+    // The k-outer reduction streams G and B once per window, so what must
     // stay L1-resident across the whole m-long loop is the `p × tile`
-    // accumulator — the tile resolves against `p`, not `m`. (Resolving
-    // against `m` would shrink the tile as the matrix grows and re-stream
-    // G ⌈cols/tile⌉ times; at 10k×49 that re-reads a 400 KB operand seven
-    // times per solve.)
+    // accumulator — the tile resolves against `p`, not `m`.
     let tile = resolve_tile(tile, p);
     // The dominant per-chunk cost is the GᵀB product: m·p per RHS column.
-    let threads = effective_threads(threads, b.cols() * m * p);
+    let threads = effective_threads(threads, cols * m * p);
     par_chunks(out.as_mut_slice(), p, threads, |c0, chunk| {
-        let cols = chunk.len() / p;
+        let ncols = chunk.len() / p;
+        let cap = tile.min(ncols);
+        let mut row = vec![0.0; cap];
+        let mut gtb = vec![0.0; p * cap];
         let mut t0 = 0;
-        while t0 < cols {
-            let t1 = (t0 + tile).min(cols);
-            let (lo, hi) = (c0 + t0, c0 + t1);
-            // t_matmul's k-outer accumulation, reading B's row windows in
-            // place instead of a col_block copy.
-            let mut gtb = Mat::zeros(p, hi - lo);
-            let gtb_width = hi - lo;
+        while t0 < ncols {
+            let t1 = (t0 + tile).min(ncols);
+            let w = t1 - t0;
+            let row = &mut row[..w];
+            let gtb = &mut gtb[..p * w];
+            gtb.fill(0.0);
             for k in 0..m {
-                let g_row = g.row(k);
-                let b_row = &b.row(k)[lo..hi];
-                for (i, &g_ki) in g_row.iter().enumerate() {
+                b.write_row(k, c0 + t0, row);
+                for (i, &g_ki) in g.row(k).iter().enumerate() {
                     if g_ki == 0.0 {
                         continue;
                     }
-                    let out_row = &mut gtb.as_mut_slice()[i * gtb_width..(i + 1) * gtb_width];
-                    for (o, &b_kj) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += g_ki * b_kj;
+                    for (acc, &b_kj) in gtb[i * w..(i + 1) * w].iter_mut().zip(row.iter()) {
+                        *acc += g_ki * b_kj;
                     }
                 }
             }
-            let x = factor.solve(&gtb).expect("shape pre-validated");
+            factor.solve_panel(gtb, w);
             for (i, out_row) in chunk[t0 * p..t1 * p].chunks_mut(p).enumerate() {
                 for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = x[(j, i)];
+                    *o = gtb[j * w + i];
                 }
             }
             t0 = t1;

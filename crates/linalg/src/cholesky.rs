@@ -57,22 +57,8 @@ impl CholeskyFactor {
                 rhs: (b.len(), 1),
             });
         }
-        // Forward substitution: L y = b.
-        let mut y = b.to_vec();
-        for i in 0..n {
-            for k in 0..i {
-                y[i] -= self.l[(i, k)] * y[k];
-            }
-            y[i] /= self.l[(i, i)];
-        }
-        // Back substitution: Lᵀ x = y.
-        let mut x = y;
-        for i in (0..n).rev() {
-            for k in i + 1..n {
-                x[i] -= self.l[(k, i)] * x[k];
-            }
-            x[i] /= self.l[(i, i)];
-        }
+        let mut x = b.to_vec();
+        self.solve_panel(&mut x, 1);
         Ok(x)
     }
 
@@ -86,15 +72,56 @@ impl CholeskyFactor {
                 rhs: b.shape(),
             });
         }
-        let mut out = Mat::zeros(n, b.cols());
-        for c in 0..b.cols() {
-            let col = b.col(c);
-            let x = self.solve_vec(&col)?;
-            for (r, v) in x.into_iter().enumerate() {
-                out[(r, c)] = v;
+        let mut x = b.clone();
+        self.solve_panel(x.as_mut_slice(), b.cols());
+        Ok(x)
+    }
+
+    /// Solve `A X = B` in place for a row-major `n × width` panel `x`
+    /// holding `B` (overwritten with `X`).
+    ///
+    /// The substitutions run across the whole panel row at once, but each
+    /// column sees exactly the single-right-hand-side sequence — forward
+    /// `y[i] -= L[i][k]·y[k]` for k ascending then `y[i] /= L[i][i]`, back
+    /// `x[i] -= L[k][i]·x[k]` for k ascending then `x[i] /= L[i][i]` — so a
+    /// column's result never depends on the panel width it was solved in.
+    ///
+    /// # Panics
+    /// If `x.len() != n * width`.
+    pub(crate) fn solve_panel(&self, x: &mut [f64], width: usize) {
+        let n = self.l.rows();
+        assert_eq!(x.len(), n * width, "cholesky panel must be {n} rows of {width}");
+        // Forward substitution: L Y = B.
+        for i in 0..n {
+            let (done, rest) = x.split_at_mut(i * width);
+            let xi = &mut rest[..width];
+            for k in 0..i {
+                let lik = self.l[(i, k)];
+                for (y, &yk) in xi.iter_mut().zip(&done[k * width..(k + 1) * width]) {
+                    *y -= lik * yk;
+                }
+            }
+            let d = self.l[(i, i)];
+            for y in xi.iter_mut() {
+                *y /= d;
             }
         }
-        Ok(out)
+        // Back substitution: Lᵀ X = Y.
+        for i in (0..n).rev() {
+            let (head, tail) = x.split_at_mut((i + 1) * width);
+            let xi = &mut head[i * width..];
+            for k in i + 1..n {
+                let lki = self.l[(k, i)];
+                let xk = &tail[(k - i - 1) * width..(k - i) * width];
+                for (v, &vk) in xi.iter_mut().zip(xk) {
+                    *v -= lki * vk;
+                }
+            }
+            let d = self.l[(i, i)];
+            for v in xi.iter_mut() {
+                *v /= d;
+            }
+        }
     }
 }
 

@@ -96,6 +96,32 @@ impl RidgeFactor {
             FactorKind::Lu(f) => f.solve(gtb),
         }
     }
+
+    /// [`RidgeFactor::solve`] in place on a row-major `p × width` panel
+    /// holding `GᵀB` (overwritten with `X`), allocating nothing on the
+    /// Cholesky path. Every column gets the exact operation sequence of a
+    /// single-right-hand-side solve, so the result is bit-identical to
+    /// [`RidgeFactor::solve`] at any panel width. The LU fallback solves
+    /// column by column as before.
+    ///
+    /// # Panics
+    /// If `panel.len() != p * width`.
+    pub(crate) fn solve_panel(&self, panel: &mut [f64], width: usize) {
+        match &self.kind {
+            FactorKind::Chol(f) => f.solve_panel(panel, width),
+            FactorKind::Lu(f) => {
+                let p = f.dim();
+                assert_eq!(panel.len(), p * width, "ridge panel must be {p} rows of {width}");
+                for c in 0..width {
+                    let col: Vec<f64> = (0..p).map(|r| panel[r * width + c]).collect();
+                    let x = f.solve_vec(&col).expect("column has the factor's dimension");
+                    for (r, v) in x.into_iter().enumerate() {
+                        panel[r * width + c] = v;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Batched ridge solve over **rows**: every row of `b_rows` is an
@@ -168,15 +194,7 @@ pub fn ridge_solve_rows_blocked(
         });
     }
     let q = b_rows.rows();
-    let mut expect = 0usize;
-    for &(start, end) in blocks {
-        assert!(
-            start == expect && end >= start,
-            "blocks must partition 0..{q} contiguously: got ({start}, {end}) after {expect}"
-        );
-        expect = end;
-    }
-    assert!(expect == q, "blocks must cover 0..{q}: ended at {expect}");
+    crate::block::check_blocks(blocks, q);
     let factor = RidgeFactor::new(g, lambda)?;
     let p = g.cols();
     let mut out = Mat::zeros(q, p);
@@ -385,6 +403,25 @@ mod tests {
         let g = Mat::zeros(4, 2);
         assert!(ridge_solve_rows(&g, &Mat::zeros(3, 5), 0.1, 2).is_err());
         assert!(ridge_solve_cols(&g, &Mat::zeros(5, 3), 0.1, 2).is_err());
+    }
+
+    #[test]
+    fn solve_panel_matches_solve_bit_for_bit_on_both_factor_kinds() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = SeededRng::new(24);
+        let g = rng.uniform_mat(7, 3, 0.0, 2.0);
+        let mut gtb = rng.gaussian_mat(3, 5, 0.0, 3.0);
+        gtb[(0, 1)] = -0.0;
+        gtb[(2, 3)] = f64::INFINITY;
+        // λ > 0 factors by Cholesky; a negative λ makes GᵀG + λI
+        // indefinite, which only the LU fallback accepts.
+        for lambda in [0.2, -1e3] {
+            let factor = RidgeFactor::new(&g, lambda).unwrap();
+            let want = factor.solve(&gtb).unwrap();
+            let mut panel = gtb.clone();
+            factor.solve_panel(panel.as_mut_slice(), 5);
+            assert_eq!(bits(panel.as_slice()), bits(want.as_slice()), "lambda {lambda}");
+        }
     }
 
     #[test]

@@ -31,7 +31,10 @@
 //! Errors come back as `{"ok":false,"error":"…"}`; the daemon keeps
 //! serving. Requests are bounded at [`MAX_LINE_BYTES`] — an oversized
 //! line is answered with an error and never parsed, so a runaway client
-//! cannot balloon the daemon's memory. `trace` reports each entry's
+//! cannot balloon the daemon's memory. Likewise `init` refuses zero sizes
+//! and sizes beyond [`MAX_CELLS`], [`MAX_BATCH`] and [`MAX_SHARDS`] with an
+//! `invalid config: …` error naming the field, before allocating anything.
+//! `trace` reports each entry's
 //! charged seconds as the hex
 //! [`f64::to_bits`] image, so two traces are equal if and only if the
 //! exploration histories are bit-identical — that is what the CI crash
@@ -68,6 +71,52 @@ use limeqo_linalg::Mat;
 /// bytes); anything past this is a broken or hostile client, and the
 /// daemon answers with an error instead of parsing it.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Largest simulated workload `init` accepts, in `n·k` cells. The
+/// synthetic oracle alone is `n·k` doubles (256 MiB at the cap), so a
+/// larger request is refused before anything is allocated instead of
+/// aborting the process on a failed allocation.
+pub const MAX_CELLS: usize = 1 << 25;
+
+/// Largest `batch` (probes per tick) `init` accepts.
+pub const MAX_BATCH: usize = 1 << 16;
+
+/// Largest `shards` (row-range shards of the workload matrix) `init`
+/// accepts.
+pub const MAX_SHARDS: usize = 1 << 12;
+
+/// Why a service could not be initialized or resumed.
+#[derive(Debug)]
+pub enum SvcError {
+    /// A [`ServiceConfig`] field is zero or over its cap; the message names
+    /// the field.
+    InvalidConfig(String),
+    /// The durability layer failed.
+    Persist(PersistError),
+}
+
+impl std::fmt::Display for SvcError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SvcError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
+            SvcError::Persist(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for SvcError {}
+
+impl From<PersistError> for SvcError {
+    fn from(e: PersistError) -> Self {
+        SvcError::Persist(e)
+    }
+}
+
+impl From<std::io::Error> for SvcError {
+    fn from(e: std::io::Error) -> Self {
+        SvcError::Persist(PersistError::Io(e))
+    }
+}
 
 /// `Some(error reply)` when `line` exceeds [`MAX_LINE_BYTES`].
 fn oversized_reply(line: &str) -> Option<String> {
@@ -147,18 +196,49 @@ impl ServiceConfig {
     pub fn tag(&self) -> String {
         format!("limeqo-svc offline {self:?}")
     }
+
+    /// Check every size field: `n`, `k`, `batch` and `shards` must be
+    /// positive, `n·k` at most [`MAX_CELLS`], `batch` at most
+    /// [`MAX_BATCH`] and `shards` at most [`MAX_SHARDS`]. Allocates
+    /// nothing.
+    pub(crate) fn validate(&self) -> Result<(), SvcError> {
+        let invalid = |msg: String| Err(SvcError::InvalidConfig(msg));
+        for (name, value) in
+            [("n", self.n), ("k", self.k), ("batch", self.batch), ("shards", self.shards)]
+        {
+            if value == 0 {
+                return invalid(format!("{name} must be positive"));
+            }
+        }
+        if !self.n.checked_mul(self.k).is_some_and(|cells| cells <= MAX_CELLS) {
+            return invalid(format!(
+                "n·k = {}·{} exceeds the {MAX_CELLS}-cell cap",
+                self.n, self.k
+            ));
+        }
+        if self.batch > MAX_BATCH {
+            return invalid(format!("batch {} exceeds the cap of {MAX_BATCH}", self.batch));
+        }
+        if self.shards > MAX_SHARDS {
+            return invalid(format!("shards {} exceeds the cap of {MAX_SHARDS}", self.shards));
+        }
+        Ok(())
+    }
 }
 
 /// Deterministic synthetic latency oracle: a rank-3 product with the
 /// default column inflated so exploration has headroom to win (the same
-/// construction the core test suites use).
-pub fn synthetic_truth(cfg: &ServiceConfig) -> Result<Mat, PersistError> {
+/// construction the core test suites use). The configuration is
+/// validated first (`ServiceConfig::validate`), so an oversized request is
+/// refused before the oracle is allocated.
+pub fn synthetic_truth(cfg: &ServiceConfig) -> Result<Mat, SvcError> {
+    cfg.validate()?;
     let mut rng = SeededRng::new(cfg.seed ^ 0x51C0_FFEE);
     let q = rng.uniform_mat(cfg.n, 3, 0.5, 2.0);
     let h = rng.uniform_mat(cfg.k, 3, 0.2, 1.5);
     let mut lat = q
         .matmul_t(&h)
-        .map_err(|e| PersistError::Corrupt(format!("synthetic oracle construction: {e}")))?;
+        .map_err(|e| SvcError::InvalidConfig(format!("synthetic oracle construction: {e}")))?;
     for i in 0..cfg.n {
         lat[(i, 0)] = lat[(i, 0)] * 2.0 + 0.5;
     }
@@ -214,11 +294,7 @@ pub struct Service {
 
 impl Service {
     /// Initialize a fresh state directory from an `init` request.
-    pub fn init(
-        dir: &Path,
-        cfg: ServiceConfig,
-        crash_at: Option<u64>,
-    ) -> Result<Self, PersistError> {
+    pub fn init(dir: &Path, cfg: ServiceConfig, crash_at: Option<u64>) -> Result<Self, SvcError> {
         Self::init_with(Box::new(FsStorage), dir, cfg, crash_at)
     }
 
@@ -232,12 +308,8 @@ impl Service {
         dir: &Path,
         cfg: ServiceConfig,
         crash_at: Option<u64>,
-    ) -> Result<Self, PersistError> {
-        if cfg.n == 0 || cfg.k == 0 || cfg.batch == 0 || cfg.shards == 0 {
-            return Err(PersistError::Corrupt(
-                "init: n, k, batch and shards must be positive".into(),
-            ));
-        }
+    ) -> Result<Self, SvcError> {
+        // Validates `cfg` before anything is allocated or written.
         let truth = synthetic_truth(&cfg)?;
         let engine = build_engine(&cfg, &truth);
         let de =
@@ -254,7 +326,7 @@ impl Service {
     /// environment from `svc-config.json`, recover the engine from its
     /// newest valid snapshot + journal tail, and re-execute any probes
     /// that were in flight at the kill point.
-    pub fn open(dir: &Path, crash_at: Option<u64>) -> Result<Self, PersistError> {
+    pub fn open(dir: &Path, crash_at: Option<u64>) -> Result<Self, SvcError> {
         Self::open_with(Box::new(FsStorage), dir, crash_at)
     }
 
@@ -263,11 +335,12 @@ impl Service {
         storage: Box<dyn Storage>,
         dir: &Path,
         crash_at: Option<u64>,
-    ) -> Result<Self, PersistError> {
+    ) -> Result<Self, SvcError> {
         let text = fs::read_to_string(config_path(dir))?;
         let cfg = Json::parse(&text)
             .and_then(|v| ServiceConfig::from_json(&v))
             .map_err(PersistError::Corrupt)?;
+        // Validates the stored `cfg` before anything is allocated.
         let truth = synthetic_truth(&cfg)?;
         let engine = build_engine(&cfg, &truth);
         let (de, outstanding) = DurableEngine::recover_with(
@@ -584,6 +657,74 @@ mod tests {
         assert!(err.contains("positive"), "{err}");
         assert!(!Service::exists(&dir));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `Service::init` on `cfg` must fail with a typed validation error
+    /// whose message contains `want`, and leave nothing behind.
+    fn assert_invalid_init(name: &str, cfg: ServiceConfig, want: &str) {
+        let dir = test_dir(name);
+        match Service::init(&dir, cfg, None) {
+            Err(SvcError::InvalidConfig(msg)) => assert!(msg.contains(want), "{msg}"),
+            Err(e) => panic!("expected a validation error naming {want:?}, got {e}"),
+            Ok(_) => panic!("init must refuse a config with bad {want:?}"),
+        }
+        assert!(!Service::exists(&dir));
+        assert!(!dir.exists(), "validation must run before anything is written");
+    }
+
+    fn small_config() -> ServiceConfig {
+        ServiceConfig { n: 24, k: 8, seed: 5, batch: 4, shards: 1 }
+    }
+
+    #[test]
+    fn zero_sizes_are_validation_errors_naming_the_field() {
+        for field in ["n", "k", "batch", "shards"] {
+            let mut cfg = small_config();
+            match field {
+                "n" => cfg.n = 0,
+                "k" => cfg.k = 0,
+                "batch" => cfg.batch = 0,
+                _ => cfg.shards = 0,
+            }
+            assert_invalid_init(
+                &format!("zero-{field}"),
+                cfg,
+                &format!("{field} must be positive"),
+            );
+        }
+        // Through the protocol: a validation error, not "corrupt persistent state".
+        let dir = test_dir("zero-k-protocol");
+        let err = handle_init(&dir, r#"{"op":"init","n":8,"k":0}"#, None).err().expect("k = 0");
+        assert!(err.starts_with("invalid config: k must be positive"), "{err}");
+        assert!(!err.contains("corrupt"), "{err}");
+    }
+
+    #[test]
+    fn oversized_matrix_is_refused_before_allocation() {
+        // n = 1e13 used to abort the process inside synthetic_truth.
+        let cfg = ServiceConfig { n: 10_000_000_000_000, k: 3, ..small_config() };
+        assert_invalid_init("cap-cells", cfg, "n·k");
+        let cfg = ServiceConfig { n: usize::MAX, k: 2, ..small_config() };
+        assert_invalid_init("cap-cells-overflow", cfg, "n·k");
+        let dir = test_dir("cap-cells-protocol");
+        let err = handle_init(&dir, r#"{"op":"init","n":1e13,"k":3}"#, None).err().expect("1e13");
+        assert!(err.contains("cell cap"), "{err}");
+        // The cap itself is accepted (checked without building the oracle).
+        assert!(ServiceConfig { n: MAX_CELLS / 8, k: 8, ..small_config() }.validate().is_ok());
+    }
+
+    #[test]
+    fn oversized_batch_is_refused_before_allocation() {
+        let cfg = ServiceConfig { batch: MAX_BATCH + 1, ..small_config() };
+        assert_invalid_init("cap-batch", cfg, "batch");
+        assert!(ServiceConfig { batch: MAX_BATCH, ..small_config() }.validate().is_ok());
+    }
+
+    #[test]
+    fn oversized_shard_count_is_refused_before_allocation() {
+        let cfg = ServiceConfig { shards: MAX_SHARDS + 1, ..small_config() };
+        assert_invalid_init("cap-shards", cfg, "shards");
+        assert!(ServiceConfig { shards: MAX_SHARDS, ..small_config() }.validate().is_ok());
     }
 
     fn fault_storage(script: limeqo_core::FaultScript) -> Box<dyn Storage> {

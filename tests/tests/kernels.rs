@@ -21,9 +21,10 @@ use limeqo_bench::scenario_runner::run_scenario;
 use limeqo_core::complete::{AlsCompleter, AlsKernel, Completer};
 use limeqo_core::matrix::WorkloadMatrix;
 use limeqo_core::scenario::PolicySpec;
+use limeqo_linalg::block::LowRankRows;
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::{
-    frobenius_norm, matmul_t_tiled, par, ridge_solve_cols, ridge_solve_cols_tiled,
+    frobenius_norm, matmul_t_tiled, par, ridge_solve, ridge_solve_cols, ridge_solve_cols_tiled,
     ridge_solve_rows_blocked, ridge_solve_rows_tiled, Mat,
 };
 use limeqo_sim::scenario::registry;
@@ -267,6 +268,201 @@ proptest! {
         let rel = frobenius_norm(&diff) / frobenius_norm(&want).max(1e-12);
         prop_assert!(rel < 0.25, "incremental deviated {rel} from the full refit");
     }
+}
+
+/// A fill that plants the awkward right-hand sides in `QHᵀ`'s window
+/// `col_lo..col_lo + out.len()` of `row`: observed `-0.0` and `+∞` cells,
+/// plus a censored-style clamp to 1.5. Depends only on `(row, col)`, so
+/// any window of a row sees the same cells.
+fn awkward_fill(row: usize, col_lo: usize, out: &mut [f64]) {
+    for (j, v) in out.iter_mut().enumerate() {
+        let col = col_lo + j;
+        if (row + col) % 7 == 0 {
+            *v = -0.0;
+        } else if (3 * row + col) % 11 == 0 {
+            *v = f64::INFINITY;
+        } else if (row + 2 * col) % 5 == 0 && *v < 1.5 {
+            *v = 1.5;
+        }
+    }
+}
+
+/// The materialized reference for the row builder: `Mat::matmul_t`, then
+/// `fill` on each whole row.
+fn filled_reference(q: &Mat, h: &Mat, fill: impl Fn(usize, usize, &mut [f64])) -> Mat {
+    let mut w = q.matmul_t(h).unwrap();
+    for row in 0..w.rows() {
+        fill(row, 0, w.row_mut(row));
+    }
+    w
+}
+
+/// A non-negative factor as the clamp leaves it: Gaussian entries
+/// projected onto `≥ 0` (about half become exact zeros), plus one column
+/// that is exactly zero throughout, so the kernels' skip path is taken
+/// for whole columns too.
+fn clamped_factor(rng: &mut SeededRng, rows: usize, rank: usize, zero_col: usize) -> Mat {
+    let mut f = rng.gaussian_mat(rows, rank, 0.0, 1.5);
+    f.clamp_min(0.0);
+    for i in 0..rows {
+        f[(i, zero_col % rank)] = 0.0;
+    }
+    f
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+
+    /// The fused half-steps against the materialize-then-solve path, at
+    /// the kernels' edges: right-hand sides holding `-0.0` and `+∞`
+    /// (compared by bit pattern, NaNs included); factor columns that are
+    /// exactly zero after the non-negativity clamp; row blocks whose
+    /// boundaries fall inside a panel; tiles of 1 and tiles wider than a
+    /// worker's whole chunk (64 against at most 60 rows over 8 workers);
+    /// and a dirty-row selection.
+    #[test]
+    fn fused_half_steps_match_the_materialized_path_at_the_edges(
+        dims in (1usize..60, 2usize..20, 1usize..6),
+        lambda in 0.01f64..2.0,
+        seed in 0u64..500,
+    ) {
+        let (n, k, r) = dims;
+        let mut rng = SeededRng::new(seed ^ 0xF0_5ED);
+        let q = clamped_factor(&mut rng, n, r, 0);
+        let h = clamped_factor(&mut rng, k, r, r - 1);
+        let w = filled_reference(&q, &h, awkward_fill);
+        let rows = LowRankRows::new(&q, &h, awkward_fill).unwrap();
+        let blocks = [(0, n / 3), (n / 3, n / 3), (n / 3, 2 * n / 3 + 1), (2 * n / 3 + 1, n)];
+        let blocks: Vec<(usize, usize)> =
+            blocks.iter().map(|&(a, b)| (a.min(n), b.min(n))).collect();
+        let want_q = ridge_solve_rows_blocked(&h, &w, lambda, 1, &blocks).unwrap();
+        let want_h = ridge_solve_cols(&q, &w, lambda, 1).unwrap();
+        let dirty: Vec<usize> = (0..n).step_by(3).collect();
+        let w_dirty = Mat::from_rows(&dirty.iter().map(|&i| w.row(i)).collect::<Vec<_>>());
+        let want_dirty = ridge_solve_rows_blocked(&h, &w_dirty, lambda, 1, &[(0, dirty.len())])
+            .unwrap();
+        let picked = LowRankRows::new(&q, &h, awkward_fill).unwrap().select(&dirty);
+        for tile in TILES {
+            for threads in THREADS {
+                let at = format!("tile {tile} threads {threads}");
+                prop_assert_eq!(bits(&rows.to_mat(threads, tile)), bits(&w), "build, {}", at);
+                let got = ridge_solve_rows_tiled(&h, &rows, lambda, threads, &blocks, tile);
+                prop_assert_eq!(bits(&got.unwrap()), bits(&want_q), "Q step, {}", at);
+                let got = ridge_solve_cols_tiled(&q, &rows, lambda, threads, tile);
+                prop_assert_eq!(bits(&got.unwrap()), bits(&want_h), "H step, {}", at);
+                let got =
+                    ridge_solve_rows_tiled(&h, &picked, lambda, threads, &[(0, dirty.len())], tile);
+                prop_assert_eq!(bits(&got.unwrap()), bits(&want_dirty), "dirty Q step, {}", at);
+            }
+        }
+    }
+
+    /// Algorithm 2 end to end on sharded matrices whose shard boundaries
+    /// fall inside the fused `Q` step's row panels: the fused fit matches
+    /// the naive kernel on the unsharded matrix at every tile and thread
+    /// count, censored clamps included.
+    #[test]
+    fn als_fused_panels_straddling_shard_boundaries_stay_bit_identical(
+        n in 9usize..40,
+        shards in 2usize..6,
+        seed in 0u64..500,
+    ) {
+        let k = 7;
+        let flat = synthetic_wm(n, k, 3, 0.4, seed);
+        let mut sharded = WorkloadMatrix::new_sharded(n, k, shards);
+        for i in 0..n {
+            for j in 0..k {
+                if let limeqo_core::matrix::Cell::Complete(v) = flat.cell(i, j) {
+                    sharded.set_complete(i, j, v);
+                }
+            }
+        }
+        let mut flat = flat;
+        for (c, (i, j)) in flat.unobserved_cells().take(3).collect::<Vec<_>>().into_iter().enumerate() {
+            let bound = 2.0 + c as f64;
+            flat.set_censored(i, j, bound);
+            sharded.set_censored(i, j, bound);
+        }
+        let reference = {
+            let mut als = AlsCompleter::with_rank(3, seed);
+            als.iters = 5;
+            als.kernel = AlsKernel::Naive;
+            als.complete(&flat)
+        };
+        for tile in [1usize, 4, 7, 64, 0] {
+            for threads in THREADS {
+                let mut als = AlsCompleter::with_rank(3, seed);
+                als.iters = 5;
+                als.threads = threads;
+                als.kernel = AlsKernel::Blocked { tile };
+                prop_assert_eq!(
+                    bits(&als.complete(&sharded)), bits(&reference),
+                    "shards {} tile {} threads {}", shards, tile, threads
+                );
+            }
+        }
+    }
+}
+
+/// Algorithm 2 written out densely and serially, independent of the
+/// shipped engine: dense `W̃`/`M`/`T`, `Mat::matmul_t`, the mask fill and
+/// censored clamp, and one-shot `ridge_solve` calls. Same seed derivation
+/// and init scale as `AlsCompleter`'s first call.
+fn dense_reference(wm: &WorkloadMatrix, rank: usize, iters: usize, seed: u64) -> Mat {
+    let (n, k) = (wm.n_rows(), wm.n_cols());
+    let lambda = 0.2;
+    let (values, mask, timeouts) = (wm.values(), wm.mask(), wm.timeouts());
+    let fill = |qh: Mat| {
+        let mut out = qh;
+        for ((o, &m), (&v, &t)) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(mask.as_slice())
+            .zip(values.as_slice().iter().zip(timeouts.as_slice()))
+        {
+            if m != 0.0 {
+                *o = v;
+            }
+            if t > 0.0 && *o < t {
+                *o = t;
+            }
+        }
+        out
+    };
+    let mut rng = SeededRng::new(seed.wrapping_add(0xA5A5));
+    let mean_obs = (values.sum() / mask.sum().max(1.0)).max(1e-9);
+    let bound = 2.0 * (mean_obs / rank as f64).sqrt();
+    let mut q = rng.uniform_mat(n, rank, 0.0, bound);
+    let mut h = rng.uniform_mat(k, rank, 0.0, bound);
+    for _ in 0..iters {
+        let w_hat = fill(q.matmul_t(&h).unwrap());
+        q = ridge_solve(&h, &w_hat.transpose(), lambda).unwrap().transpose();
+        q.clamp_min(0.0);
+        let w_hat = fill(q.matmul_t(&h).unwrap());
+        h = ridge_solve(&q, &w_hat, lambda).unwrap().transpose();
+        h.clamp_min(0.0);
+    }
+    fill(q.matmul_t(&h).unwrap())
+}
+
+/// At 1200×49, rank 5, `n·k·r` exceeds `par::MIN_PAR_WORK`, so the
+/// default `threads = 0` really fans the fused half-steps out across the
+/// machine's cores. The fit must still equal the serial dense reference
+/// bit for bit.
+#[test]
+fn fused_als_fanned_out_matches_the_serial_dense_reference() {
+    let (n, k, rank, iters, seed) = (1_200, 49, 5, 5, 0xFA_11);
+    assert!(n * k * rank > par::MIN_PAR_WORK, "the shape must arm the auto fan-out");
+    let mut wm = synthetic_wm(n, k, rank, 0.1, seed);
+    let planted: Vec<(usize, usize)> = wm.unobserved_cells().step_by(97).take(100).collect();
+    for (c, (i, j)) in planted.into_iter().enumerate() {
+        wm.set_censored(i, j, 1.0 + (c % 9) as f64);
+    }
+    let reference = dense_reference(&wm, rank, iters, seed);
+    let mut als = AlsCompleter::with_rank(rank, seed);
+    als.iters = iters;
+    assert_eq!(als.threads, 0, "the default thread knob is auto");
+    assert_eq!(bits(&als.complete(&wm)), bits(&reference));
 }
 
 /// Fast-tier registry sweep: LimeQO stays no worse than Random (at the
